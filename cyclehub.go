@@ -247,15 +247,17 @@ type EdgeOp struct {
 }
 
 // ApplyBatch applies an ordered sequence of edge operations as one
-// maintenance unit, equivalent to (but usually much faster than) applying
-// them through InsertEdge/DeleteEdge one at a time: the default sharded
-// index groups the batch's ops by strongly connected component, computes
-// merge/split effects once for the whole batch, and applies independent
-// per-shard update streams on workers goroutines (0 = all cores, 1 =
-// sequential; answers are identical for every worker count). The batch
-// must be a valid sequence against the live graph — no duplicate inserts,
-// no missing deletes, net of earlier ops in the same batch — and an
-// invalid batch is rejected whole, with nothing applied.
+// maintenance unit, with the same answers as applying them through
+// InsertEdge/DeleteEdge one at a time. On the default sharded index it is
+// the one update path (InsertEdge and DeleteEdge are one-op batches): the
+// batch is reduced to its net effect, its ops are grouped by strongly
+// connected component, merge/split effects are computed once for the
+// whole batch — where per-op calls pay them once per edge — and
+// independent per-shard update streams run on workers goroutines (0 = all
+// cores, 1 = sequential; answers are identical for every worker count).
+// The batch must be a valid sequence against the live graph — no
+// duplicate inserts, no missing deletes, net of earlier ops in the same
+// batch — and an invalid batch is rejected whole, with nothing applied.
 func (ix *Index) ApplyBatch(ops []EdgeOp, workers int) error {
 	batch := make([]csc.EdgeOp, len(ops))
 	for i, op := range ops {

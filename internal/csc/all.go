@@ -23,6 +23,15 @@ func (x *Index) CycleCountAll(workers int) (lengths []int, counts []uint64) {
 func cycleCountAll(n, workers int, count func(v int) (int, uint64)) (lengths []int, counts []uint64) {
 	lengths = make([]int, n)
 	counts = make([]uint64, n)
+	forEach(n, workers, func(v int) { lengths[v], counts[v] = count(v) })
+	return lengths, counts
+}
+
+// forEach runs fn(0..n-1) on up to workers goroutines (0 = all cores,
+// clamped to n; sequential on the caller's goroutine at 1), handing out
+// indices in ascending order — callers that sort heaviest-first keep the
+// pool's tail short.
+func forEach(n, workers int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -30,10 +39,10 @@ func cycleCountAll(n, workers int, count func(v int) (int, uint64)) (lengths []i
 		workers = n
 	}
 	if workers <= 1 {
-		for v := 0; v < n; v++ {
-			lengths[v], counts[v] = count(v)
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
-		return lengths, counts
+		return
 	}
 	var wg sync.WaitGroup
 	var next atomic.Int64
@@ -42,14 +51,13 @@ func cycleCountAll(n, workers int, count func(v int) (int, uint64)) (lengths []i
 		go func() {
 			defer wg.Done()
 			for {
-				v := int(next.Add(1)) - 1
-				if v >= n {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				lengths[v], counts[v] = count(v)
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return lengths, counts
 }

@@ -3,10 +3,7 @@ package csc
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -83,6 +80,9 @@ func ValidateBatch(g *graph.Digraph, batch []EdgeOp) error {
 // semantics; query answers depend only on the final edge set, so the net
 // batch is observationally equivalent to the full sequence.
 func coalesceBatch(g *graph.Digraph, batch []EdgeOp) []EdgeOp {
+	if len(batch) == 1 {
+		return batch // a validated op toggles its edge: its own net effect
+	}
 	base := make(map[[2]int32]bool, len(batch))
 	eff := make(map[[2]int32]bool, len(batch))
 	var touch [][2]int32
@@ -158,20 +158,32 @@ type batchPlan struct {
 	dirty      map[int32]bool     // stream shards holding at least one delete
 	structural []EdgeOp           // ops crossing shards or touching trivial vertices
 	// touchedPending marks an op landing inside the pending deferral's
-	// region (set by planBatchDeferred only): the deferral must be
-	// recomputed against the batch's final edge set.
+	// region: the deferral must be recomputed against the batch's final
+	// edge set.
 	touchedPending bool
 }
 
 // planBatch groups the batch's ops by shard. An op whose endpoints sit in
-// the same live shard joins that shard's ordered stream; everything else
-// — cross-shard edges, edges touching trivial vertices — is structural
-// and can only matter through the partition reconciliation.
+// the same live shard joins that shard's ordered stream, unless the shard
+// is frozen: then the pending rebuild, built from the final graph, owns
+// the op's effect and the op is dropped. Everything else — cross-shard
+// edges, edges touching trivial vertices — is structural and can only
+// matter through the partition reconciliation.
 func (x *Sharded) planBatch(batch []EdgeOp) batchPlan {
 	p := batchPlan{streams: make(map[int32][]EdgeOp), dirty: make(map[int32]bool)}
+	var region map[int32]struct{}
+	if x.pendingReb != nil {
+		region = x.pendingReb.region
+	}
 	for _, op := range batch {
+		_, inA := region[op.A]
+		_, inB := region[op.B]
+		p.touchedPending = p.touchedPending || inA || inB
 		s := x.shardOf[op.A]
 		if s >= 0 && s == x.shardOf[op.B] {
+			if x.stale[s] {
+				continue
+			}
 			if _, ok := p.streams[s]; !ok {
 				p.order = append(p.order, s)
 			}
@@ -199,22 +211,20 @@ type batchTask struct {
 	err   error
 }
 
-// ApplyBatch applies the batch through the sharded index's batch planner:
-// ops are grouped by shard, merge/split effects are computed once for the
-// whole batch (the final partition is a pure function of the final edge
-// set), and the resulting per-shard work — ordered intra-shard update
-// streams on intact shards, at-most-one fresh build per merged or split
-// component — runs concurrently on workers goroutines (0 = all cores).
-// Ops confined to trivial components that close no cycle touch no labels
-// at all.
+// ApplyBatch is the sharded index's one mutation path; InsertEdge and
+// DeleteEdge are one-op batches. The batch is validated and
+// net-coalesced, the global graph moves to its final edge set, and the
+// planner runs in three steps: planBatch groups the ops by shard,
+// reconcile computes the final partition of every shard the batch can
+// have moved (a pure function of the final edge set, so once per batch
+// instead of once per edge), and dispose decides per shard whether to
+// stream, retire, build, freeze or unfreeze. The resulting per-shard
+// work — ordered intra-shard update streams on intact shards, at most one
+// fresh build per merged or split component — runs concurrently on
+// workers goroutines (0 = all cores). Ops confined to trivial components
+// that close no cycle touch no labels at all. Under a deferral threshold
+// (SetDeferThreshold) large builds move out of band instead (deferred.go).
 func (x *Sharded) ApplyBatch(batch []EdgeOp, workers int) (pll.UpdateStats, error) {
-	if x.pendingReb != nil {
-		// A deferral is pending: the plain planner would stream into frozen
-		// shards. Route through the deferral-aware path, which keeps (or
-		// recomputes) the pending rebuild.
-		st, _, err := x.applyBatchDeferred(batch, workers, x.deferThreshold)
-		return st, err
-	}
 	var agg pll.UpdateStats
 	if len(batch) == 0 {
 		return agg, nil
@@ -296,143 +306,276 @@ func (x *Sharded) installTasks(tasks []*batchTask, agg *pll.UpdateStats) {
 // soon as a handful of edges would each walk the graph.
 const batchGlobalSCCInserts = 4
 
-// reconcile turns the plan into runnable tasks, retiring every shard the
-// batch's final partition invalidates. Only two kinds of ops can move the
-// partition: intra-shard deletions can split their own shard (components
-// shrink only by losing an internal edge — mutual-reachability paths
-// never leave an SCC), and structural inserts still present in the final
-// graph can merge components (a grown component must run a new cycle
-// through a surviving new edge; intra-shard inserts change no
-// reachability at all). Everything else streams through incremental
-// maintenance or short-circuits label-free.
+// reconcile turns the plan into runnable tasks. Only two kinds of ops can
+// move the partition: intra-shard deletions can split their own shard
+// (components shrink only by losing an internal edge — mutual-reachability
+// paths never leave an SCC), and structural inserts still present in the
+// final graph can merge components (a grown component must run a new
+// cycle through a surviving new edge; intra-shard inserts change no
+// reachability at all). A batch with neither that leaves the pending
+// deferral's region alone only streams. Otherwise the final partition
+// comes from one global Tarjan pass when a deferral is pending or
+// requested (an insertion anywhere can merge an outside component into
+// the deferred region, so scoped checks cannot keep a deferral sound) or
+// past batchGlobalSCCInserts surviving inserts, and from scoped checks
+// around the batch's own ops otherwise.
 func (x *Sharded) reconcile(plan batchPlan, agg *pll.UpdateStats) []*batchTask {
-	var tasks []*batchTask
-	stream := func(s int32) {
-		tasks = append(tasks, &batchTask{sh: x.shards[s], ops: plan.streams[s]})
+	if len(plan.structural) == 0 && len(plan.dirty) == 0 && !plan.touchedPending {
+		return x.streamTasks(plan, nil)
 	}
-	retire := func(s int32, grew bool) {
-		agg.EntriesRemoved += x.shards[s].idx.EntryCount()
-		agg.TouchedOwners = append(agg.TouchedOwners, touchAll(x.shards[s].verts)...)
-		x.retire(s)
-		if grew {
-			x.merges++
-		} else {
-			x.splits++
-		}
-	}
-
 	var inserts []EdgeOp
 	for _, op := range plan.structural {
 		if op.Kind == OpInsert && x.g.HasEdge(int(op.A), int(op.B)) {
 			inserts = append(inserts, op)
 		}
 	}
-
-	if len(inserts) > batchGlobalSCCInserts {
-		// Ask the final graph for its whole partition — once per batch.
-		final := partition.SCC(x.g)
-		covered := make(map[int32]bool) // final comp id → served by an intact shard
-		intact := make(map[int32]bool)  // shard slot → survived unchanged
-		for si, sh := range x.shards {
-			if sh == nil {
-				continue
-			}
-			c := final.Comp[sh.verts[0]]
-			if sameVerts(final.Comps[c], sh.verts) {
-				covered[c] = true
-				intact[int32(si)] = true
-				continue
-			}
-			retire(int32(si), len(final.Comps[c]) > len(sh.verts))
-		}
-		for _, s := range plan.order {
-			if intact[s] {
-				stream(s) // dropped streams are covered by rebuilds below
-			}
-		}
-		for ci, comp := range final.Comps {
-			if len(comp) < 2 || covered[int32(ci)] {
-				continue
-			}
-			tasks = append(tasks, &batchTask{build: comp})
-		}
-		return tasks
+	if x.pendingReb != nil || x.deferThreshold > 0 || len(inserts) > batchGlobalSCCInserts {
+		return x.dispose(plan, x.globalPartition(), agg)
 	}
+	return x.dispose(plan, x.scopedPartition(plan, inserts), agg)
+}
 
-	// Scoped reconciliation. Merges first: a surviving structural insert
-	// (a,b) merges components exactly when b reaches a in the final graph,
-	// and the merged component is then a's final SCC. Distinct merged
-	// components are disjoint, so an endpoint already absorbed needs no
-	// second look (an edge between two different final components lies on
-	// no cycle and contributes nothing).
-	var merged [][]int32
-	inComp := make(map[int32]bool)
+// finalPartition is the post-batch partition of every shard a batch can
+// have moved: comps holds final components (members sorted ascending,
+// singletons included) covering the members of every shard listed in
+// shards, and comp maps a covered vertex to its index in comps.
+type finalPartition struct {
+	shards []int32
+	comps  [][]int32
+	comp   func(v int32) int32
+}
+
+// spread reports whether verts land in more than one final component.
+func (fp finalPartition) spread(verts []int32) bool {
+	c := fp.comp(verts[0])
+	for _, v := range verts[1:] {
+		if fp.comp(v) != c {
+			return true
+		}
+	}
+	return false
+}
+
+// globalPartition asks the final graph for its whole partition, covering
+// every live shard.
+func (x *Sharded) globalPartition() finalPartition {
+	final := partition.SCC(x.g)
+	fp := finalPartition{comps: final.Comps, comp: func(v int32) int32 { return final.Comp[v] }}
+	for si, sh := range x.shards {
+		if sh != nil {
+			fp.shards = append(fp.shards, int32(si))
+		}
+	}
+	return fp
+}
+
+// scopedPartition computes the final partition of just the shards the
+// batch's own ops can have moved. Merges first: a surviving structural
+// insert (a,b) merges components exactly when b reaches a in the final
+// graph, and the merged component is then a's final SCC. Distinct merged
+// components are disjoint, so an endpoint already absorbed needs no
+// second look (an edge between two different final components lies on no
+// cycle and contributes nothing). Every shard a merge reaches is
+// affected; its members the merge did not absorb (the shard was split by
+// a deletion and only part of it merged away) re-partition locally —
+// their final components cannot extend beyond the old member set, or a
+// surviving structural insert would have seeded them above. Every other
+// dirty shard re-checks its own partition locally for the same reason.
+func (x *Sharded) scopedPartition(plan batchPlan, inserts []EdgeOp) finalPartition {
+	of := make(map[int32]int32)
+	fp := finalPartition{comp: func(v int32) int32 { return of[v] }}
+	add := func(comps ...[]int32) {
+		for _, comp := range comps {
+			for _, v := range comp {
+				of[v] = int32(len(fp.comps))
+			}
+			fp.comps = append(fp.comps, comp)
+		}
+	}
 	for _, op := range inserts {
-		if inComp[op.A] || inComp[op.B] {
+		_, inA := of[op.A]
+		_, inB := of[op.B]
+		if inA || inB || !partition.Reachable(x.g, int(op.B), int(op.A)) {
 			continue
 		}
-		if !partition.Reachable(x.g, int(op.B), int(op.A)) {
-			continue
-		}
-		comp := partition.ComponentOf(x.g, int(op.A))
-		for _, v := range comp {
-			inComp[v] = true
-		}
-		merged = append(merged, comp)
+		add(partition.ComponentOf(x.g, int(op.A)))
 	}
+	merged := fp.comps // add grows fp.comps below; only merges seed leftovers
+	affected := make(map[int32]bool)
 	for _, comp := range merged {
 		for _, v := range comp {
 			s := x.shardOf[v]
-			if s < 0 {
-				continue // trivial vertex, or its shard already retired
+			if s < 0 || affected[s] {
+				continue
 			}
-			sh := x.shards[s]
-			retire(s, true)
-			// Members the merge did not absorb (the shard was split by a
-			// deletion and only part of it merged away) re-partition
-			// locally: their final components cannot extend beyond the old
-			// member set, or a surviving structural insert would have
-			// seeded them above.
+			affected[s] = true
+			fp.shards = append(fp.shards, s)
 			var leftover []int32
-			for _, w := range sh.verts {
-				if !inComp[w] {
+			for _, w := range x.shards[s].verts {
+				if _, ok := of[w]; !ok {
 					leftover = append(leftover, w)
 				}
 			}
-			for _, sub := range partition.SCCWithin(x.g, leftover) {
-				if len(sub) >= 2 {
-					tasks = append(tasks, &batchTask{build: sub})
+			add(partition.SCCWithin(x.g, leftover)...)
+		}
+	}
+	for _, s := range plan.order {
+		if !plan.dirty[s] || affected[s] {
+			continue
+		}
+		fp.shards = append(fp.shards, s)
+		add(partition.SCCWithin(x.g, x.shards[s].verts)...)
+	}
+	return fp
+}
+
+// dispose is the planner's one disposition pass over the final
+// partition. A shard whose member set is exactly its final component
+// survives: a live one streams its ops, and a frozen one unfreezes with
+// zero work when its current induced subgraph equals the frozen one (the
+// structural churn since its freeze cancelled out, and its dropped ops
+// are exactly that cancelled diff). Every other final component of at
+// least 2 vertices needs a build. Under a deferral threshold, those of at
+// least threshold vertices defer instead; a deferral is contagious within
+// a shard — a shard serves either all its members (frozen) or none
+// (retired) — so freezing closes over the shard↔component incidence until
+// it reaches a fixed point. Frozen shards keep their mapping (their
+// answers do not change at this commit, so they add nothing to the dirty
+// set); every other affected shard retires now, including a previously
+// frozen shard all of whose components build inline — the cheap catch-up
+// path. The counters record one merge per built component drawn from
+// more than one pre-batch component and one split per retired shard
+// whose members land in more than one final component.
+func (x *Sharded) dispose(plan batchPlan, fp finalPartition, agg *pll.UpdateStats) []*batchTask {
+	keep := make(map[int32]bool)    // shard slot → survives as-is
+	covered := make(map[int32]bool) // final comp → served without a build
+	for _, s := range fp.shards {
+		sh := x.shards[s]
+		c := fp.comp(sh.verts[0])
+		if sameVerts(fp.comps[c], sh.verts) && (!x.stale[s] || frozenMatches(sh, x.g)) {
+			keep[s] = true
+			covered[c] = true
+		}
+	}
+	needsBuild := func(c int32) bool { return len(fp.comps[c]) >= 2 && !covered[c] }
+
+	deferred := make(map[int32]bool) // final comp → built out of band
+	frozen := make(map[int32]bool)   // shard slot → stays (or becomes) frozen
+	var work []int32
+	if x.deferThreshold > 0 {
+		for ci, comp := range fp.comps {
+			if c := int32(ci); needsBuild(c) && len(comp) >= x.deferThreshold {
+				deferred[c] = true
+				work = append(work, c)
+			}
+		}
+	}
+	for len(work) > 0 {
+		c := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, v := range fp.comps[c] {
+			s := x.shardOf[v]
+			if s < 0 || frozen[s] {
+				continue
+			}
+			frozen[s] = true
+			for _, w := range x.shards[s].verts {
+				if c2 := fp.comp(w); needsBuild(c2) && !deferred[c2] {
+					deferred[c2] = true
+					work = append(work, c2)
 				}
 			}
 		}
-		tasks = append(tasks, &batchTask{build: comp})
 	}
 
-	// Splits next: every dirty shard a merge did not absorb re-checks its
-	// own partition locally — no structural edge touched it, so its final
-	// components are subsets of its member set.
-	for _, s := range plan.order {
-		if x.shards[s] == nil {
-			continue // retired by a merge above; its rebuild covers the ops
-		}
-		if !plan.dirty[s] {
-			stream(s)
+	var tasks []*batchTask
+	for ci, comp := range fp.comps {
+		if c := int32(ci); !needsBuild(c) || deferred[c] {
 			continue
 		}
-		verts := x.shards[s].verts
-		comps := partition.SCCWithin(x.g, verts)
-		if len(comps) == 1 && len(comps[0]) == len(verts) {
-			stream(s) // survived every deletion: still one component
-			continue
+		if !x.withinOneShard(comp) {
+			x.merges++
 		}
-		retire(s, false)
-		for _, comp := range comps {
-			if len(comp) >= 2 {
-				tasks = append(tasks, &batchTask{build: comp})
+		tasks = append(tasks, &batchTask{build: comp})
+	}
+	for _, s := range fp.shards {
+		sh := x.shards[s]
+		switch {
+		case frozen[s]:
+			// supersede freezes it below.
+		case keep[s]:
+			delete(x.stale, s)
+		default:
+			agg.EntriesRemoved += sh.idx.EntryCount()
+			agg.TouchedOwners = append(agg.TouchedOwners, touchAll(sh.verts)...)
+			if fp.spread(sh.verts) {
+				x.splits++
 			}
+			delete(x.stale, s)
+			x.retire(s)
+		}
+	}
+	x.supersede(fp, deferred, frozen)
+	return x.streamTasks(plan, tasks)
+}
+
+// withinOneShard reports whether every vertex of comp sits in the same
+// pre-batch shard.
+func (x *Sharded) withinOneShard(comp []int32) bool {
+	s := x.shardOf[comp[0]]
+	for _, v := range comp {
+		if x.shardOf[v] != s || s < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// streamTasks appends one stream task per planned shard still live and
+// not frozen after disposition.
+func (x *Sharded) streamTasks(plan batchPlan, tasks []*batchTask) []*batchTask {
+	for _, s := range plan.order {
+		if sh := x.shards[s]; sh != nil && !x.stale[s] {
+			tasks = append(tasks, &batchTask{sh: sh, ops: plan.streams[s]})
 		}
 	}
 	return tasks
+}
+
+// supersede replaces the pending deferral with the one the batch's final
+// partition calls for, or none. A previous deferral is superseded
+// wholesale — its snapshots describe an edge set this batch may have
+// changed — but its freeze point is inherited.
+func (x *Sharded) supersede(fp finalPartition, deferred, frozen map[int32]bool) {
+	prev := x.pendingReb
+	if prev != nil {
+		x.oobSuperseded++
+	}
+	x.pendingReb = nil
+	if len(deferred) == 0 {
+		return
+	}
+	frozenAt := time.Now()
+	if prev != nil && !prev.frozenAt.IsZero() {
+		frozenAt = prev.frozenAt
+	}
+	var comps [][]int32
+	for c := range deferred {
+		comps = append(comps, fp.comps[c])
+	}
+	// Largest component first: Run's worker pool drains heaviest-first.
+	sort.Slice(comps, func(i, j int) bool {
+		if len(comps[i]) != len(comps[j]) {
+			return len(comps[i]) > len(comps[j])
+		}
+		return comps[i][0] < comps[j][0]
+	})
+	var stale []int32
+	for s := range frozen {
+		stale = append(stale, s)
+	}
+	sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
+	x.newRebuild(comps, stale, frozenAt)
 }
 
 // sameVerts reports whether two sorted-ascending vertex lists are equal.
@@ -453,43 +596,13 @@ func sameVerts(a, b []int32) bool {
 // parallelism; multi-task batches parallelize across shards with
 // sequential inner builds, mirroring BuildSharded.
 func (x *Sharded) runBatchTasks(tasks []*batchTask, workers int) {
-	if len(tasks) == 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
 	inner := x.opts
 	if len(tasks) > 1 {
 		inner.Workers = 1
 	}
 	weight := func(t *batchTask) int { return 4*len(t.build) + len(t.ops) }
 	sort.SliceStable(tasks, func(i, j int) bool { return weight(tasks[i]) > weight(tasks[j]) })
-	if workers <= 1 {
-		for _, t := range tasks {
-			x.runBatchTask(t, inner)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				x.runBatchTask(tasks[i], inner)
-			}
-		}()
-	}
-	wg.Wait()
+	forEach(len(tasks), workers, func(i int) { x.runBatchTask(tasks[i], inner) })
 }
 
 // runBatchTask executes one task: a fresh component build, or an ordered
@@ -527,6 +640,7 @@ func (x *Sharded) runBatchTask(t *batchTask, inner Options) {
 	}
 }
 
-// BatchRebuilds reports how many scoped component rebuilds ApplyBatch has
-// performed — at most one per merged or split component per batch.
+// BatchRebuilds reports how many fresh component builds updates have
+// installed, inline or out of band — at most one per merged or split
+// component per batch.
 func (x *Sharded) BatchRebuilds() int { return x.batchRebuilds }

@@ -50,11 +50,14 @@ type Counter interface {
 	// net ops are maintained and reflected in the stats. The batch must
 	// be a valid sequence against the live graph (no duplicate inserts,
 	// no missing deletes, net of earlier ops in the same batch); an
-	// invalid batch is rejected up front with nothing applied. The sharded index plans the batch per
-	// shard and applies independent shard streams on workers goroutines
-	// (0 = all cores, 1 = sequential); the monolithic index applies
-	// sequentially regardless. Stats are aggregated over the batch with
-	// TouchedOwners in the same Gb convention as InsertEdge.
+	// invalid batch is rejected up front with nothing applied. On the
+	// sharded index it is the only mutation path — its InsertEdge and
+	// DeleteEdge are one-op batches — planning the batch per shard and
+	// applying independent shard streams on workers goroutines (0 = all
+	// cores, 1 = sequential); the monolithic index applies sequentially
+	// through its own InsertEdge/DeleteEdge regardless. Stats are
+	// aggregated over the batch with TouchedOwners in the same Gb
+	// convention as InsertEdge.
 	ApplyBatch(batch []EdgeOp, workers int) (pll.UpdateStats, error)
 
 	// AddVertex appends one isolated vertex; DetachVertex removes every

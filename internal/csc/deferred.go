@@ -1,10 +1,7 @@
 package csc
 
 import (
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -16,14 +13,15 @@ import (
 // Out-of-band rebuilds: the sharded index's answer to the structural
 // cliff. A structural batch on a giant SCC normally rebuilds the whole
 // merged or split component inline — the caller (and, in the engine,
-// every reader behind the grace period) stalls for the full build. The
-// deferred path instead freezes the affected shards: they keep serving
-// their pre-batch answers (each shard owns an induced-subgraph copy, so
-// the frozen sub-index is self-contained), the batch commits its cheap
-// intra-shard work immediately, and the expensive component builds run
-// later — typically on a background goroutine — from induced-subgraph
-// snapshots captured at plan time. CompleteRebuild swaps the finished
-// shards in atomically under the caller's grace period.
+// every reader behind the grace period) stalls for the full build. Under
+// a deferral threshold (SetDeferThreshold), ApplyBatch's disposition pass
+// instead freezes the affected shards: they keep serving their pre-batch
+// answers (each shard owns an induced-subgraph copy, so the frozen
+// sub-index is self-contained), the batch commits its cheap intra-shard
+// work immediately, and the expensive component builds run later —
+// typically on a background goroutine — from induced-subgraph snapshots
+// captured at plan time. CompleteRebuild swaps the finished shards in
+// atomically under the caller's grace period.
 //
 // Consistency contract: a frozen shard's sub-index receives no ops
 // after its freeze point, so its answers are exactly the answers as of
@@ -61,6 +59,32 @@ type Rebuild struct {
 	// supersessions, so it anchors the full stale window a reader could
 	// have observed, not just the latest recomputation's.
 	frozenAt time.Time
+}
+
+// newRebuild makes comps the pending deferral: it freezes the stale
+// shard slots, snapshots comps' induced subgraphs from the current
+// graph, and covers comps and the frozen shards' members in its region.
+func (x *Sharded) newRebuild(comps [][]int32, stale []int32, frozenAt time.Time) *Rebuild {
+	x.gen++
+	r := &Rebuild{gen: x.gen, stale: stale, comps: comps, opts: x.opts,
+		region: make(map[int32]struct{}), frozenAt: frozenAt}
+	for _, comp := range comps {
+		r.subs = append(r.subs, partition.Induced(x.g, comp))
+		for _, v := range comp {
+			r.region[v] = struct{}{}
+		}
+	}
+	if x.stale == nil {
+		x.stale = make(map[int32]bool)
+	}
+	for _, s := range stale {
+		x.stale[s] = true
+		for _, v := range x.shards[s].verts {
+			r.region[v] = struct{}{}
+		}
+	}
+	x.pendingReb = r
+	return r
 }
 
 // FrozenAt is when the deferral's shards began serving stale answers
@@ -102,333 +126,32 @@ func (r *Rebuild) Run(workers int) {
 		return
 	}
 	built := make([]*shard, len(r.comps))
-	if len(r.comps) > 0 {
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		inner := r.opts
-		if len(r.comps) > 1 {
-			inner.Workers = 1
-		} else {
-			inner.Workers = workers
-		}
-		build := func(i int) {
-			opts := inner
-			strat := opts.Order
-			if i < len(r.strats) {
-				strat = r.strats[i]
-			}
-			ord := (*order.Order)(nil)
-			if i < len(r.ords) {
-				ord = r.ords[i]
-			}
-			if ord == nil {
-				opts.Order = strat
-				ord = orderFor(r.subs[i], opts)
-			}
-			idx, _ := Build(r.subs[i], ord, inner)
-			idx.eng.ReleaseScratch()
-			built[i] = &shard{verts: r.comps[i], idx: idx, strat: strat}
-		}
-		if len(r.comps) == 1 || workers == 1 {
-			for i := range r.comps {
-				build(i)
-			}
-		} else {
-			// comps are emitted largest-first, so a simple counter pool keeps
-			// the tail short.
-			if workers > len(r.comps) {
-				workers = len(r.comps)
-			}
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(r.comps) {
-							return
-						}
-						build(i)
-					}
-				}()
-			}
-			wg.Wait()
-		}
+	inner := r.opts
+	inner.Workers = workers
+	if len(r.comps) > 1 {
+		inner.Workers = 1
 	}
-	r.built = built
-}
-
-// ApplyBatchDeferred is ApplyBatch with a deferral threshold: any final
-// component of at least threshold vertices that would need a fresh build
-// is deferred instead — its contributing shards freeze at their
-// pre-batch answers — and returned as part of the pending Rebuild. The
-// returned *Rebuild is the pending deferral AFTER this batch: nil when
-// nothing is deferred, a new object whenever the pending set changed
-// (superseding any previously returned one — decided by pointer
-// identity in CompleteRebuild), or the unchanged previous object when
-// the batch did not touch it. threshold <= 0 never defers new work but
-// still maintains (and may dissolve or inline-complete) an existing
-// deferral. The index must not be serialized while a deferral is
-// pending — complete or supersede it first.
-func (x *Sharded) ApplyBatchDeferred(batch []EdgeOp, workers, threshold int) (pll.UpdateStats, *Rebuild, error) {
-	x.deferThreshold = threshold
-	if threshold <= 0 && x.pendingReb == nil {
-		st, err := x.ApplyBatch(batch, workers)
-		return st, nil, err
-	}
-	return x.applyBatchDeferred(batch, workers, threshold)
-}
-
-func (x *Sharded) applyBatchDeferred(batch []EdgeOp, workers, threshold int) (pll.UpdateStats, *Rebuild, error) {
-	var agg pll.UpdateStats
-	if len(batch) == 0 {
-		return agg, x.pendingReb, nil
-	}
-	if err := ValidateBatch(x.g, batch); err != nil {
-		return agg, x.pendingReb, err
-	}
-	start := time.Now()
-	if batch = coalesceBatch(x.g, batch); len(batch) == 0 {
-		agg.Duration = time.Since(start)
-		return agg, x.pendingReb, nil
-	}
-
-	planStart := time.Now()
-	plan := x.planBatchDeferred(batch)
-	for _, op := range batch {
-		var err error
-		if op.Kind == OpInsert {
-			err = x.g.AddEdge(int(op.A), int(op.B))
-		} else {
-			err = x.g.RemoveEdge(int(op.A), int(op.B))
+	// comps are emitted largest-first, so forEach's pool keeps the tail
+	// short.
+	forEach(len(r.comps), workers, func(i int) {
+		opts := inner
+		strat := opts.Order
+		if i < len(r.strats) {
+			strat = r.strats[i]
 		}
-		if err != nil {
-			panic(err) // unreachable: ValidateBatch simulated this sequence
+		ord := (*order.Order)(nil)
+		if i < len(r.ords) {
+			ord = r.ords[i]
 		}
-	}
-
-	tasks, pending := x.reconcileDeferred(plan, &agg, threshold)
-	agg.PlanDuration = time.Since(planStart)
-	buildStart := time.Now()
-	x.runBatchTasks(tasks, workers)
-	x.installTasks(tasks, &agg)
-	agg.BuildDuration = time.Since(buildStart)
-	agg.Duration = time.Since(start)
-	return agg, pending, nil
-}
-
-// planBatchDeferred is planBatch aware of frozen shards: an op confined
-// to a frozen shard is dropped from streaming — the pending rebuild,
-// built from the final graph, owns its effect — and any op touching the
-// pending region forces the partition branch so the deferral is
-// recomputed against the new final edge set.
-func (x *Sharded) planBatchDeferred(batch []EdgeOp) batchPlan {
-	p := batchPlan{streams: make(map[int32][]EdgeOp), dirty: make(map[int32]bool)}
-	var region map[int32]struct{}
-	if x.pendingReb != nil {
-		region = x.pendingReb.region
-	}
-	for _, op := range batch {
-		if region != nil {
-			_, inA := region[op.A]
-			_, inB := region[op.B]
-			if inA || inB {
-				p.touchedPending = true
-			}
+		if ord == nil {
+			opts.Order = strat
+			ord = orderFor(r.subs[i], opts)
 		}
-		s := x.shardOf[op.A]
-		if s >= 0 && s == x.shardOf[op.B] {
-			if x.stale[s] {
-				continue // frozen: the rebuild owns this op's effect
-			}
-			if _, ok := p.streams[s]; !ok {
-				p.order = append(p.order, s)
-			}
-			p.streams[s] = append(p.streams[s], op)
-			if op.Kind == OpDelete {
-				p.dirty[s] = true
-			}
-		} else {
-			p.structural = append(p.structural, op)
-		}
-	}
-	sort.Slice(p.order, func(i, j int) bool { return p.order[i] < p.order[j] })
-	return p
-}
-
-// reconcileDeferred turns the plan into runnable tasks plus the new
-// pending deferral. Structural ops, dirty streams, and anything touching
-// the pending region route through one global partition pass (an
-// insertion anywhere can merge an outside component into the region, so
-// scoped per-edge checks cannot preserve a deferral soundly); pure
-// intra-shard insertions stream and leave the deferral untouched.
-func (x *Sharded) reconcileDeferred(plan batchPlan, agg *pll.UpdateStats, threshold int) ([]*batchTask, *Rebuild) {
-	var tasks []*batchTask
-	if len(plan.structural) == 0 && len(plan.dirty) == 0 && !plan.touchedPending {
-		for _, s := range plan.order {
-			tasks = append(tasks, &batchTask{sh: x.shards[s], ops: plan.streams[s]})
-		}
-		return tasks, x.pendingReb
-	}
-
-	final := partition.SCC(x.g)
-
-	// Pass 1: shards that survive as-is. A live shard whose member set is
-	// exactly its final component is intact. A frozen shard additionally
-	// needs its current induced subgraph to equal the frozen one — then
-	// the structural churn since its freeze cancelled out and it unfreezes
-	// with zero work (its dropped ops are exactly that cancelled diff).
-	intact := make(map[int32]bool)
-	unfreeze := make(map[int32]bool)
-	covered := make(map[int32]bool) // final comp id → served without a build
-	for si, sh := range x.shards {
-		if sh == nil {
-			continue
-		}
-		s := int32(si)
-		c := final.Comp[sh.verts[0]]
-		if !sameVerts(final.Comps[c], sh.verts) {
-			continue
-		}
-		if !x.stale[s] {
-			intact[s] = true
-			covered[c] = true
-		} else if frozenMatches(sh, x.g) {
-			unfreeze[s] = true
-			covered[c] = true
-		}
-	}
-
-	// Pass 2: components needing a build, and which of them defer. A
-	// deferral is contagious within a shard — a shard either serves all
-	// its members (frozen) or none (retired) — so freezing closes over
-	// the shard↔component incidence until it reaches a fixed point.
-	deferred := make(map[int32]bool)  // final comp id
-	staleKept := make(map[int32]bool) // shard slot stays (or becomes) frozen
-	var work []int32
-	for ci, comp := range final.Comps {
-		c := int32(ci)
-		if len(comp) < 2 || covered[c] {
-			continue
-		}
-		if threshold > 0 && len(comp) >= threshold {
-			deferred[c] = true
-			work = append(work, c)
-		}
-	}
-	for len(work) > 0 {
-		c := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, v := range final.Comps[c] {
-			s := x.shardOf[v]
-			if s < 0 || staleKept[s] {
-				continue
-			}
-			staleKept[s] = true
-			for _, w := range x.shards[s].verts {
-				c2 := final.Comp[w]
-				if len(final.Comps[c2]) < 2 || covered[c2] || deferred[c2] {
-					continue
-				}
-				deferred[c2] = true
-				work = append(work, c2)
-			}
-		}
-	}
-
-	// Pass 3: dispositions. Frozen-kept shards keep their mapping (their
-	// answers do not change at this commit, so they contribute nothing to
-	// the dirty set); intact shards stream; everything else — including a
-	// previously frozen shard all of whose components build inline, which
-	// is the cheap catch-up path — retires now.
-	if len(staleKept) > 0 && x.stale == nil {
-		x.stale = make(map[int32]bool)
-	}
-	for si, sh := range x.shards {
-		if sh == nil {
-			continue
-		}
-		s := int32(si)
-		switch {
-		case staleKept[s]:
-			x.stale[s] = true
-		case intact[s]:
-			if ops, ok := plan.streams[s]; ok {
-				tasks = append(tasks, &batchTask{sh: sh, ops: ops})
-			}
-		case unfreeze[s]:
-			delete(x.stale, s)
-		default:
-			c := final.Comp[sh.verts[0]]
-			agg.EntriesRemoved += sh.idx.EntryCount()
-			agg.TouchedOwners = append(agg.TouchedOwners, touchAll(sh.verts)...)
-			delete(x.stale, s)
-			x.retire(s)
-			if len(final.Comps[c]) > len(sh.verts) {
-				x.merges++
-			} else {
-				x.splits++
-			}
-		}
-	}
-	for ci, comp := range final.Comps {
-		c := int32(ci)
-		if len(comp) < 2 || covered[c] || deferred[c] {
-			continue
-		}
-		tasks = append(tasks, &batchTask{build: comp})
-	}
-
-	// Pass 4: the new pending deferral (or none). Any previous one is
-	// superseded wholesale — its snapshots describe an edge set this
-	// batch may have changed.
-	if x.pendingReb != nil {
-		x.oobSuperseded++
-	}
-	if len(deferred) == 0 {
-		x.pendingReb = nil
-		return tasks, nil
-	}
-	x.gen++
-	frozenAt := time.Now()
-	if x.pendingReb != nil && !x.pendingReb.frozenAt.IsZero() {
-		frozenAt = x.pendingReb.frozenAt
-	}
-	reb := &Rebuild{gen: x.gen, opts: x.opts, region: make(map[int32]struct{}), frozenAt: frozenAt}
-	var ids []int32
-	for c := range deferred {
-		ids = append(ids, c)
-	}
-	// Largest component first: Run's worker pool drains heaviest-first.
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := final.Comps[ids[i]], final.Comps[ids[j]]
-		if len(a) != len(b) {
-			return len(a) > len(b)
-		}
-		return a[0] < b[0]
+		idx, _ := Build(r.subs[i], ord, inner)
+		idx.eng.ReleaseScratch()
+		built[i] = &shard{verts: r.comps[i], idx: idx, strat: strat}
 	})
-	for _, c := range ids {
-		comp := final.Comps[c]
-		reb.comps = append(reb.comps, comp)
-		reb.subs = append(reb.subs, partition.Induced(x.g, comp))
-		for _, v := range comp {
-			reb.region[v] = struct{}{}
-		}
-	}
-	for s := range staleKept {
-		reb.stale = append(reb.stale, s)
-	}
-	sort.Slice(reb.stale, func(i, j int) bool { return reb.stale[i] < reb.stale[j] })
-	for _, s := range reb.stale {
-		for _, v := range x.shards[s].verts {
-			reb.region[v] = struct{}{}
-		}
-	}
-	x.pendingReb = reb
-	return tasks, reb
+	r.built = built
 }
 
 // CompleteRebuild swaps a finished rebuild in: frozen shards retire and
@@ -498,9 +221,21 @@ func localIndex(verts []int32, v int32) int {
 	return -1
 }
 
-// PendingRebuild returns the current deferral, nil when none. The caller
-// owns scheduling: Run it (any goroutine), then CompleteRebuild it where
-// mutations are serialized.
+// SetDeferThreshold sets the deferral threshold every later update
+// applies: a final component of at least n vertices that needs a fresh
+// build is deferred — its contributing shards freeze at their pre-batch
+// answers — and becomes part of PendingRebuild. n <= 0 never freezes new
+// work but still maintains (and may dissolve or inline-complete) a
+// pending deferral. The index must not be serialized while a deferral is
+// pending — complete or supersede it first.
+func (x *Sharded) SetDeferThreshold(n int) { x.deferThreshold = n }
+
+// PendingRebuild returns the current deferral, nil when none: a new
+// object whenever an update changed the pending set (superseding any
+// earlier one — CompleteRebuild decides by pointer identity), the same
+// object while updates leave it alone. The caller owns scheduling: Run
+// it (any goroutine), then CompleteRebuild it where mutations are
+// serialized.
 func (x *Sharded) PendingRebuild() *Rebuild { return x.pendingReb }
 
 // StaleShards lists the frozen shard slots (ascending) — the shards

@@ -52,7 +52,7 @@ func mustConsistent(t *testing.T, x *Sharded, tag string) {
 }
 
 // TestDeferredEquivalenceMetamorphic is the out-of-band acceptance
-// suite: random batches applied through ApplyBatchDeferred — with
+// suite: random batches applied under a deferral threshold — with
 // rebuilds completed at random points, superseded by later batches, or
 // left pending across many batches — must, once drained, answer
 // identically on every vertex to inline ApplyBatch on a twin index.
@@ -70,15 +70,17 @@ func TestDeferredEquivalenceMetamorphic(t *testing.T) {
 			r := rand.New(rand.NewSource(77))
 			inline, _ := BuildSharded(tr.g.Clone(), Options{})
 			deferred, _ := BuildSharded(tr.g.Clone(), Options{})
+			deferred.SetDeferThreshold(5)
 			batches := randomBatches(r, tr.g, 12, 6)
 			for i, batch := range batches {
 				if _, err := inline.ApplyBatch(batch, 1); err != nil {
 					t.Fatalf("batch %d inline: %v", i, err)
 				}
-				_, pending, err := deferred.ApplyBatchDeferred(batch, 2, 5)
+				_, err := deferred.ApplyBatch(batch, 2)
 				if err != nil {
 					t.Fatalf("batch %d deferred: %v", i, err)
 				}
+				pending := deferred.PendingRebuild()
 				// Complete the rebuild only sometimes: left-pending
 				// deferrals must survive (and stay correct through) later
 				// batches that drop ops into their frozen shards.
@@ -120,10 +122,12 @@ func TestDeferredStaleWindowServesPreBatchAnswers(t *testing.T) {
 	// One batch: break ring A and bridge the two rings into a single
 	// 12-cycle. The merged component is ≥ threshold, so it defers.
 	batch := []EdgeOp{Del(0, 1), Ins(0, 6), Ins(11, 1)}
-	_, pending, err := x.ApplyBatchDeferred(batch, 2, 8)
+	x.SetDeferThreshold(8)
+	_, err := x.ApplyBatch(batch, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pending := x.PendingRebuild()
 	if pending == nil {
 		t.Fatal("merge of 12 vertices under threshold 8 did not defer")
 	}
@@ -179,10 +183,12 @@ func TestDeferredFlapDissolves(t *testing.T) {
 
 	// Deleting a bridge splits the 12-SCC into the two 6-rings: both
 	// halves are ≥ threshold 4, so the split defers and the shard freezes.
-	_, pending, err := x.ApplyBatchDeferred([]EdgeOp{Del(5, 6)}, 2, 4)
+	x.SetDeferThreshold(4)
+	_, err := x.ApplyBatch([]EdgeOp{Del(5, 6)}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pending := x.PendingRebuild()
 	if pending == nil {
 		t.Fatal("split did not defer")
 	}
@@ -215,10 +221,12 @@ func TestDeferredFlapDissolves(t *testing.T) {
 func TestDeferredSupersededRebuildDiscarded(t *testing.T) {
 	x, _ := BuildSharded(twoRingsBridged(t), Options{})
 
-	_, r1, err := x.ApplyBatchDeferred([]EdgeOp{Del(5, 6)}, 2, 4) // split defers: rebuild r1
+	x.SetDeferThreshold(4)
+	_, err := x.ApplyBatch([]EdgeOp{Del(5, 6)}, 2) // split defers: rebuild r1
 	if err != nil {
 		t.Fatal(err)
 	}
+	r1 := x.PendingRebuild()
 	if r1 == nil {
 		t.Fatal("split did not defer")
 	}

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"repro/internal/bipartite"
-	"repro/internal/graph"
 	"repro/internal/order"
-	"repro/internal/partition"
 )
 
 // Online re-ranking: the sharded index can rebuild one shard under a new
@@ -18,8 +16,8 @@ import (
 // on a background goroutine from an induced-subgraph snapshot, and
 // CompleteRebuild swaps it in atomically under the caller's grace
 // period. A structural batch arriving mid-rebuild supersedes the
-// deferral through the normal reconcile pass, so a re-rank can never
-// mask a real update; the engine simply retries at the next tick.
+// deferral through ApplyBatch's disposition pass, so a re-rank can
+// never mask a real update; the engine simply retries at the next tick.
 //
 // The drift signal is per-hub hit counters on the join kernel
 // (pll.Index.EnableHitCounters): each answered query attributes itself
@@ -81,26 +79,9 @@ func (x *Sharded) ReorderShard(slot int, ord *order.Order, strat order.Strategy)
 	if ord.Len() != len(sh.verts) {
 		return nil, fmt.Errorf("csc: order covers %d vertices, shard has %d", ord.Len(), len(sh.verts))
 	}
-	x.gen++
-	reb := &Rebuild{
-		gen:      x.gen,
-		stale:    []int32{int32(slot)},
-		comps:    [][]int32{sh.verts},
-		subs:     []*graph.Digraph{partition.Induced(x.g, sh.verts)},
-		region:   make(map[int32]struct{}, len(sh.verts)),
-		opts:     x.opts,
-		ords:     []*order.Order{ord},
-		strats:   []order.Strategy{strat},
-		frozenAt: time.Now(),
-	}
-	for _, v := range sh.verts {
-		reb.region[v] = struct{}{}
-	}
-	if x.stale == nil {
-		x.stale = make(map[int32]bool)
-	}
-	x.stale[int32(slot)] = true
-	x.pendingReb = reb
+	reb := x.newRebuild([][]int32{sh.verts}, []int32{int32(slot)}, time.Now())
+	reb.ords = []*order.Order{ord}
+	reb.strats = []order.Strategy{strat}
 	return reb, nil
 }
 

@@ -166,10 +166,12 @@ func TestReRankSupersededByStructuralBatch(t *testing.T) {
 	if len(ops) == 0 {
 		t.Fatal("no insertable edge found")
 	}
-	_, pending, err := x.ApplyBatchDeferred(ops, 1, 4)
+	x.SetDeferThreshold(4)
+	_, err := x.ApplyBatch(ops, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pending := x.PendingRebuild()
 	if pending != nil {
 		pending.Run(1)
 		if _, installed := x.CompleteRebuild(pending); !installed {

@@ -1,11 +1,9 @@
 package csc
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bfscount"
@@ -24,13 +22,15 @@ import (
 // route through a vertex→shard table. Cross-component edges are kept in
 // the graph but carry no labels.
 //
-// Dynamic updates keep the partition correct. An intra-shard edge goes
-// through the shard's own INCCNT/decremental maintenance. An insertion
-// that merges components (the new edge closes a path back to its tail)
-// triggers a scoped rebuild of exactly the merged component; a deletion
-// that splits a component rebuilds only that component's surviving
-// sub-components. Everything else — cross-component inserts that close no
-// cycle, deletes of label-free edges — is O(reachability check) or free.
+// Dynamic updates keep the partition correct through one planner,
+// ApplyBatch (InsertEdge and DeleteEdge are one-op batches). Intra-shard
+// edges stream through the shard's own INCCNT/decremental maintenance; a
+// batch that merges components rebuilds exactly each merged component,
+// and one that splits a component rebuilds only its surviving
+// sub-components. Everything else — cross-component inserts that close
+// no cycle, deletes of label-free edges — is O(reachability check) or
+// free. Under a deferral threshold, large rebuilds run out of band
+// (deferred.go).
 type Sharded struct {
 	g    *graph.Digraph
 	opts Options
@@ -43,8 +43,11 @@ type Sharded struct {
 	shardOf []int32 // vertex → shard slot, -1 for trivial components
 	localID []int32 // vertex → id inside its shard's subgraph
 
-	merges, splits int // scoped-rebuild counters (diagnostics)
-	batchRebuilds  int // fresh component builds performed by ApplyBatch
+	// merges counts built components drawn from more than one pre-update
+	// component, splits counts retired shards whose members landed in
+	// more than one final component (diagnostics).
+	merges, splits int
+	batchRebuilds  int // fresh component builds, inline and out of band
 
 	// slotRebuilds counts fresh installs per shard slot (grown lazily —
 	// slots past its length have seen none). Slot reuse is deliberate:
@@ -54,9 +57,8 @@ type Sharded struct {
 
 	// Out-of-band rebuild state (deferred.go). stale marks shard slots
 	// frozen at their pre-deferral answers; pendingReb is the deferral
-	// that will replace them; deferThreshold remembers the last deferral
-	// threshold so per-op and plain-batch entry points stay sound while a
-	// deferral is pending.
+	// that will replace them; deferThreshold is the component size from
+	// which builds defer (SetDeferThreshold; <= 0 never freezes).
 	stale                       map[int32]bool
 	pendingReb                  *Rebuild
 	gen                         uint64
@@ -100,20 +102,13 @@ func BuildSharded(g *graph.Digraph, opts Options) (*Sharded, pll.BuildStats) {
 		}
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	// One big component keeps the intra-build parallelism; many components
 	// parallelize across shards with sequential inner builds instead.
 	inner := opts
 	outer := 1
 	if len(comps) > 1 {
 		inner.Workers = 1
-		outer = workers
-		if outer > len(comps) {
-			outer = len(comps)
-		}
+		outer = opts.Workers
 	}
 	// Schedule largest components first so the tail of the pool is short.
 	sched := make([]int, len(comps))
@@ -121,24 +116,10 @@ func BuildSharded(g *graph.Digraph, opts Options) (*Sharded, pll.BuildStats) {
 		sched[i] = i
 	}
 	sort.Slice(sched, func(a, b int) bool { return len(comps[sched[a]]) > len(comps[sched[b]]) })
-
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < outer; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(sched) {
-					return
-				}
-				sid := sched[i]
-				x.shards[sid] = buildShard(g, comps[sid], inner)
-			}
-		}()
-	}
-	wg.Wait()
+	forEach(len(sched), outer, func(i int) {
+		sid := sched[i]
+		x.shards[sid] = buildShard(g, comps[sid], inner)
+	})
 
 	st := x.stats()
 	st.Duration = time.Since(start)
@@ -214,118 +195,19 @@ func (x *Sharded) CycleCountAll(workers int) (lengths []int, counts []uint64) {
 	return cycleCountAll(len(x.shardOf), workers, x.CycleCount)
 }
 
-// InsertEdge applies an edge insertion. Intra-shard edges run the shard's
-// INCCNT maintenance; a cross-component edge that closes a path back to
-// its tail merges components and rebuilds exactly the merged one; any
-// other cross-component edge is recorded label-free.
-func (x *Sharded) InsertEdge(a, b int) (pll.UpdateStats, error) {
-	if x.pendingReb != nil {
-		// A deferral is pending: route through the deferral-aware batch
-		// path so frozen shards stay frozen and the pending region tracks
-		// this edge.
-		st, _, err := x.applyBatchDeferred([]EdgeOp{Ins(a, b)}, 1, x.deferThreshold)
-		return st, err
-	}
-	if err := x.g.AddEdge(a, b); err != nil {
-		return pll.UpdateStats{}, err
-	}
-	start := time.Now()
-	if s := x.shardOf[a]; s >= 0 && s == x.shardOf[b] {
-		sh := x.shards[s]
-		st, err := sh.idx.InsertEdge(int(x.localID[a]), int(x.localID[b]))
-		x.translateOwners(sh, &st)
-		return st, err
-	}
-	// The new edge a→b lies on a cycle — and therefore merges components —
-	// exactly when b already reaches a.
-	if !partition.Reachable(x.g, b, a) {
-		return pll.UpdateStats{Duration: time.Since(start)}, nil
-	}
-	return x.mergeRebuild(a, start), nil
-}
+// InsertEdge and DeleteEdge apply one edge update as a one-op ApplyBatch.
+func (x *Sharded) InsertEdge(a, b int) (pll.UpdateStats, error) { return x.applyOne(Ins(a, b)) }
+func (x *Sharded) DeleteEdge(a, b int) (pll.UpdateStats, error) { return x.applyOne(Del(a, b)) }
 
-// DeleteEdge applies an edge deletion. Cross-component and trivial edges
-// are label-free; an intra-shard deletion either repairs the shard's
-// labels decrementally (component intact) or rebuilds the component's
-// surviving sub-components (component split).
-func (x *Sharded) DeleteEdge(a, b int) (pll.UpdateStats, error) {
-	if x.pendingReb != nil {
-		st, _, err := x.applyBatchDeferred([]EdgeOp{Del(a, b)}, 1, x.deferThreshold)
-		return st, err
+// applyOne runs op as a one-op batch. A rejected op reports its bare
+// graph.Err* sentinel, as the per-op Counter contract has it, rather
+// than ValidateBatch's positional wrapping.
+func (x *Sharded) applyOne(op EdgeOp) (pll.UpdateStats, error) {
+	st, err := x.ApplyBatch([]EdgeOp{op}, x.opts.Workers)
+	if bare := errors.Unwrap(err); bare != nil {
+		err = bare
 	}
-	if err := x.g.RemoveEdge(a, b); err != nil {
-		return pll.UpdateStats{}, err
-	}
-	start := time.Now()
-	s := x.shardOf[a]
-	if s < 0 || s != x.shardOf[b] {
-		return pll.UpdateStats{Duration: time.Since(start)}, nil
-	}
-	sh := x.shards[s]
-	la, lb := int(x.localID[a]), int(x.localID[b])
-	// The component survives iff a still reaches b without the removed
-	// edge: every path that used a→b reroutes through the a⇝b detour, so
-	// all mutual reachability is preserved. (The shard subgraph still
-	// holds the edge — the shard's own DeleteEdge removes it below.)
-	if partition.ReachableSkip(sh.idx.Graph(), la, lb, la, lb) {
-		st, err := sh.idx.DeleteEdge(la, lb)
-		x.translateOwners(sh, &st)
-		return st, err
-	}
-	return x.splitRebuild(s, start), nil
-}
-
-// mergeRebuild replaces every component absorbed by a's new strongly
-// connected component with one freshly built shard. Old shards are
-// strictly nested inside the merged component (SCCs only grow under
-// insertions), so the affected set is exactly the shards intersecting it.
-func (x *Sharded) mergeRebuild(a int, start time.Time) pll.UpdateStats {
-	merged := partition.ComponentOf(x.g, a)
-	var st pll.UpdateStats
-	retired := make(map[int32]struct{})
-	for _, v := range merged {
-		if s := x.shardOf[v]; s >= 0 {
-			retired[s] = struct{}{}
-		}
-	}
-	for s := range retired {
-		st.EntriesRemoved += x.shards[s].idx.EntryCount()
-		x.retire(s)
-	}
-	sh := buildShard(x.g, merged, x.opts)
-	x.install(sh)
-	x.merges++
-	st.EntriesAdded = sh.idx.EntryCount()
-	st.Visited = len(merged)
-	st.TouchedOwners = touchAll(merged)
-	st.Duration = time.Since(start)
-	return st
-}
-
-// splitRebuild re-partitions one shard after a deletion disconnected it:
-// every surviving non-trivial sub-component gets a fresh sub-index, and
-// vertices falling out into trivial components drop their labels
-// entirely.
-func (x *Sharded) splitRebuild(s int32, start time.Time) pll.UpdateStats {
-	old := x.shards[s]
-	var st pll.UpdateStats
-	st.EntriesRemoved = old.idx.EntryCount()
-	x.retire(s)
-	// The global graph already dropped the edge, so the partition of the
-	// old member set within it is the post-delete decomposition.
-	for _, comp := range partition.SCCWithin(x.g, old.verts) {
-		if len(comp) < 2 {
-			continue
-		}
-		sh := buildShard(x.g, comp, x.opts)
-		x.install(sh)
-		st.EntriesAdded += sh.idx.EntryCount()
-	}
-	x.splits++
-	st.Visited = len(old.verts)
-	st.TouchedOwners = touchAll(old.verts)
-	st.Duration = time.Since(start)
-	return st
+	return st, err
 }
 
 // retire clears a shard slot and unmaps its vertices (they are either
@@ -476,8 +358,8 @@ func (x *Sharded) TrivialVertices() int {
 	return n
 }
 
-// Rebuilds reports how many scoped rebuilds dynamic updates triggered:
-// component merges (insertions) and splits (deletions).
+// Rebuilds reports how many partition changes updates rebuilt inline:
+// one merge per merged final component, one split per split shard.
 func (x *Sharded) Rebuilds() (merges, splits int) { return x.merges, x.splits }
 
 // ShardStat is one live shard's footprint for per-shard gauges.

@@ -151,6 +151,23 @@ func TestShardedMergeAndSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertAgreesWithMono(t, x)
+
+	// A batch counts the same way: one merge per merged final component,
+	// however many shards it absorbed, and one split per split shard.
+	y, _ := BuildSharded(mixedGraph(t), Options{})
+	if _, err := y.ApplyBatch([]EdgeOp{Ins(7, 0)}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if m, s := y.Rebuilds(); m != 1 || s != 0 {
+		t.Fatalf("batch merge counted merges=%d splits=%d, want 1 and 0", m, s)
+	}
+	if _, err := y.ApplyBatch([]EdgeOp{Del(2, 4)}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if m, s := y.Rebuilds(); m != 1 || s != 1 {
+		t.Fatalf("batch split counted merges=%d splits=%d, want 1 and 1", m, s)
+	}
+	assertAgreesWithMono(t, y)
 }
 
 func TestShardedVertexOps(t *testing.T) {

@@ -443,6 +443,9 @@ func start(ix csc.Counter, st *Store, seq uint64, opts Options) *Engine {
 	if !opts.NoCache {
 		e.cache = newReadCache(e.n)
 	}
+	if sx, ok := ix.(*csc.Sharded); ok {
+		sx.SetDeferThreshold(opts.OOBRebuildThreshold)
+	}
 	e.seq.Store(seq)
 	if st != nil {
 		e.walBytes.Store(st.WALBytes())
@@ -1201,34 +1204,27 @@ func batchOps(batch []Op) []csc.EdgeOp {
 // exactly the set whose query answers can differ (csc.DirtyVertices).
 // The result cache is expired for those vertices before the grace period
 // ends, so no reader ever pairs a post-batch epoch with a pre-batch
-// value.
+// value. On the sharded index the deferral the batch leaves pending (the
+// threshold was set once, at start) goes to the rebuild scheduler, and
+// deferred reports whether there is one.
 func (e *Engine) apply(batch []Op, seq uint64) (dirty []int, st pll.UpdateStats, deferred bool) {
 	e.lock.lockAll()
-	var err error
-	var pending *csc.Rebuild
-	sx, sharded := e.ix.(*csc.Sharded)
-	oob := sharded && e.opts.OOBRebuildThreshold > 0
-	if oob {
-		st, pending, err = sx.ApplyBatchDeferred(batchOps(batch), e.opts.UpdateWorkers, e.opts.OOBRebuildThreshold)
-	} else {
-		st, err = e.ix.ApplyBatch(batchOps(batch), e.opts.UpdateWorkers)
-	}
+	st, err := e.ix.ApplyBatch(batchOps(batch), e.opts.UpdateWorkers)
 	if err != nil {
 		// Coalescing computed the batch against the live graph, so a
 		// rejected batch is unreachable short of index corruption. Fall
 		// back to per-op application so one bad op cannot take the whole
 		// batch down with it.
 		st = e.applyPerOp(batch)
-		if oob {
-			pending = sx.PendingRebuild()
-		}
 	}
 	dirty = csc.DirtyVertices(st)
 	if e.cache != nil {
 		e.cache.invalidate(dirty, seq)
 	}
 	e.lock.unlockAll()
-	if oob {
+	var pending *csc.Rebuild
+	if sx, ok := e.ix.(*csc.Sharded); ok {
+		pending = sx.PendingRebuild()
 		e.scheduleRebuild(pending)
 	}
 	return dirty, st, pending != nil
