@@ -5,7 +5,8 @@
 // answered as SPCnt(v_out, v_in) in Gb — a single merge-join of two label
 // lists, independent of v's degree. Edge insertions and deletions on G
 // are maintained by the INCCNT and decremental algorithms of §V running
-// on the Gb labeling.
+// on the Gb labeling, whose passes use the same couple-vertex skipping as
+// the construction (one queued vertex and one prune probe per couple).
 //
 // Construction runs on the engine's fast-path pipeline: the skipping
 // BFSes prune through the hub-indexed scatter instead of per-dequeue
@@ -83,8 +84,8 @@ func Build(g *graph.Digraph, ord *order.Order, opts Options) (*Index, pll.BuildS
 	} else {
 		eng = buildSkipping(gb, lifted, opts.Workers)
 		eng.Strategy = opts.Strategy
-		eng.HubFilter = bipartite.IsIn
 	}
+	useGb(eng)
 	if opts.CompressLabels {
 		// Every build path — monolithic, per-shard, scoped rebuilds — funnels
 		// through here, so compression survives any dynamic reconstruction.
@@ -94,6 +95,16 @@ func Build(g *graph.Digraph, ord *order.Order, opts Options) (*Index, pll.BuildS
 	st := eng.Stats()
 	st.Duration = time.Since(start)
 	return idx, st
+}
+
+// useGb marks eng as a labeling over the bipartite conversion Gb: only
+// V_in vertices are hubs, and the dynamic update passes run with
+// couple-vertex skipping. Every engine this package builds or loads goes
+// through it — hub filters and pass modes do not serialize — so a loaded
+// index maintains itself exactly like a freshly built one.
+func useGb(eng *pll.Index) {
+	eng.HubFilter = bipartite.IsIn
+	eng.CoupleSkip = true
 }
 
 // buildSkipping is the couple-vertex-skipping construction (Algorithm 3):

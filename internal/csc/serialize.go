@@ -55,7 +55,7 @@ func readMonolithic(br *bufio.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng.HubFilter = bipartite.IsIn // functions do not serialize; re-install
+	useGb(eng)
 	g, err := originalFromGb(eng.G)
 	if err != nil {
 		return nil, err

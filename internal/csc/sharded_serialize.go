@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/bipartite"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/pll"
@@ -214,7 +213,7 @@ func readSharded(br *bufio.Reader) (*Sharded, error) {
 		if eng.Strategy != pll.Strategy(strat) {
 			return nil, bad("shard %d strategy %d != header %d", sid, eng.Strategy, strat)
 		}
-		eng.HubFilter = bipartite.IsIn
+		useGb(eng)
 		sub, err := originalFromGb(eng.G)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", sid, err)

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/bipartite"
 	"repro/internal/bitpack"
 	"repro/internal/graph"
 	"repro/internal/label"
@@ -417,7 +416,7 @@ func parseV34(data []byte, lazyLabels bool) (*Sharded, error) {
 		}
 		eng := pll.NewEmpty(gb, ord)
 		eng.Strategy = strat
-		eng.HubFilter = bipartite.IsIn
+		useGb(eng)
 		if err := eng.AttachFrozen(f); err != nil {
 			return nil, fmt.Errorf("%w: shard %d: %v", pll.ErrBadFormat, sid, err)
 		}

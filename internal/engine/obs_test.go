@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/csc"
 	"repro/internal/graph"
@@ -110,7 +111,11 @@ func TestBatchLifecycleTrace(t *testing.T) {
 func TestOOBSwapTrace(t *testing.T) {
 	reg := obs.New()
 	x, _ := csc.BuildSharded(twoSixRings(t), csc.Options{})
-	e := New(x, Options{FlushInterval: -1, UpdateWorkers: 1, OOBRebuildThreshold: 8, Metrics: reg})
+	// A flush interval far longer than the test holds all four ops until
+	// the explicit Flush, so they always apply as the one batch whose
+	// rebuild is deferred; applying on drain could split them across
+	// batches that defer nothing.
+	e := New(x, Options{FlushInterval: time.Hour, UpdateWorkers: 1, OOBRebuildThreshold: 8, Metrics: reg})
 	defer e.Close()
 
 	for _, del := range [][2]int{{0, 1}, {11, 6}} {

@@ -151,6 +151,37 @@ func (l *List) Remove(hub int) bool {
 	return true
 }
 
+// RemoveIf deletes every entry for which drop returns true, compacting
+// the survivors in place in one pass, and returns how many it removed.
+// drop sees each entry exactly once, in ascending hub order, so callers
+// may keep per-entry bookkeeping in it. A frozen list thaws only once an
+// entry is dropped.
+func (l *List) RemoveIf(drop func(bitpack.Entry) bool) int {
+	first, i := -1, 0
+	l.Each(func(e bitpack.Entry) bool {
+		if drop(e) {
+			first = i
+			return false
+		}
+		i++
+		return true
+	})
+	if first < 0 {
+		return 0
+	}
+	l.thaw()
+	kept := first
+	for _, e := range l.e[first+1:] {
+		if !drop(e) {
+			l.e[kept] = e
+			kept++
+		}
+	}
+	removed := len(l.e) - kept
+	l.e = l.e[:kept]
+	return removed
+}
+
 // Clone returns an independent mutable copy. Cloning a frozen list
 // decodes its section without thawing the original.
 func (l *List) Clone() List {

@@ -203,3 +203,46 @@ func TestJoinMatchesNaive(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRemoveIf: one pass drops exactly the matching entries and keeps the
+// rest in order, the predicate sees every entry once in hub order (so
+// callers can do bookkeeping in it), and a frozen list thaws only when
+// something is actually dropped.
+func TestRemoveIf(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	src := randList(r, 60, 400, 25)
+	for _, frozen := range []bool{false, true} {
+		for _, mod := range []int{0, 1, 2, 3} { // 0 drops nothing
+			drop := func(e bitpack.Entry) bool { return mod > 0 && e.Hub()%mod == 0 }
+			lists := []List{listOf(src), listOf(src)}
+			var f *Frozen
+			if frozen {
+				f = FreezeCompressed(lists)
+			}
+			l := &lists[0]
+			var seen []int
+			var want []bitpack.Entry
+			for _, e := range src {
+				if !drop(e) {
+					want = append(want, e)
+				}
+			}
+			n := l.RemoveIf(func(e bitpack.Entry) bool {
+				seen = append(seen, e.Hub())
+				return drop(e)
+			})
+			if n != len(src)-len(want) {
+				t.Fatalf("frozen=%v mod=%d: removed %d, want %d", frozen, mod, n, len(src)-len(want))
+			}
+			if !equalInts(seen, lists[1].Hubs()) {
+				t.Fatalf("frozen=%v mod=%d: predicate saw hubs %v", frozen, mod, seen)
+			}
+			var got []bitpack.Entry
+			l.Each(func(e bitpack.Entry) bool { got = append(got, e); return true })
+			entriesEqual(t, "RemoveIf survivors", got, want)
+			if frozen && (f.ThawedLists() == 1) != (n > 0) {
+				t.Fatalf("mod=%d: %d thawed lists after removing %d", mod, f.ThawedLists(), n)
+			}
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/bitpack"
-	"repro/internal/label"
 )
 
 // DeleteEdge removes edge (a,b) from the graph and repairs the index with
@@ -73,40 +72,11 @@ func (idx *Index) DeleteEdge(a, b int) (UpdateStats, error) {
 	// queries. Any such pair's distance grows, which places (hub, owner)
 	// in SA × SB, so the rectangle drop catches it; step 3 re-inserts
 	// whatever was still valid.
-	var drop []int
-	for _, y32 := range sb {
-		y := int(y32)
-		yRank := idx.Ord.Rank(y)
-		drop = drop[:0]
-		idx.In[y].Each(func(e bitpack.Entry) bool {
-			if e.Hub() != yRank && inSA[idx.Ord.VertexAt(e.Hub())] {
-				drop = append(drop, e.Hub())
-			}
-			return true
-		})
-		for _, h := range drop {
-			if idx.removeInEntry(y, h) {
-				st.EntriesRemoved++
-				st.touch(y)
-			}
-		}
+	for _, y := range sb {
+		idx.dropEntries(int(y), true, inSA, &st)
 	}
-	for _, x32 := range sa {
-		x := int(x32)
-		xRank := idx.Ord.Rank(x)
-		drop = drop[:0]
-		idx.Out[x].Each(func(e bitpack.Entry) bool {
-			if e.Hub() != xRank && inSB[idx.Ord.VertexAt(e.Hub())] {
-				drop = append(drop, e.Hub())
-			}
-			return true
-		})
-		for _, h := range drop {
-			if idx.removeOutEntry(x, h) {
-				st.EntriesRemoved++
-				st.touch(x)
-			}
-		}
+	for _, x := range sa {
+		idx.dropEntries(int(x), false, inSB, &st)
 	}
 
 	// Step 3: repair in descending rank order so lower hubs' pruning
@@ -189,78 +159,93 @@ func (idx *Index) bfsDistances(src int, forward bool) []int32 {
 	return d
 }
 
+// dropEntries is one list's share of step 2: it removes every entry of
+// In[v] (in) or Out[v] (!in) whose hub is in the hubs set, except v's
+// self entry, in a single in-place pass over the list.
+func (idx *Index) dropEntries(v int, in bool, hubs []bool, st *UpdateStats) {
+	self := idx.Ord.Rank(v)
+	n := idx.list(v, in).RemoveIf(func(e bitpack.Entry) bool {
+		h := e.Hub()
+		if h == self || !hubs[idx.Ord.VertexAt(h)] {
+			return false
+		}
+		if in {
+			idx.delInvIn(h, v)
+		} else {
+			idx.delInvOut(h, v)
+		}
+		return true
+	})
+	if n > 0 {
+		idx.entries -= n
+		st.EntriesRemoved += n
+		st.touch(v)
+	}
+}
+
 // repairPass re-runs a construction-style pruned counting BFS from the hub
 // with rank vkRank on the post-deletion graph, inserting labels only for
 // vertices in the targets set. forward repairs in-labels over out-edges;
 // !forward repairs out-labels over in-edges. The prune test probes the
 // hub-indexed scatter of the anchor list, which no repair write can touch
-// mid-pass (the BFS never revisits the hub and repair never cleans).
+// mid-pass (the BFS never revisits the hub and repair never cleans). With
+// CoupleSkip the pass labels each kept vertex's couple without a probe
+// (skipCouple), so the queue holds one vertex per couple.
 func (idx *Index) repairPass(vkRank int, forward bool, targets []bool, st *UpdateStats) {
 	vk := idx.Ord.VertexAt(vkRank)
 	s := idx.scratch()
 
-	var anchor *label.List
-	if forward {
-		anchor = &idx.Out[vk]
-	} else {
-		anchor = &idx.In[vk]
-	}
+	anchor := idx.list(vk, !forward)
 	s.Scatter(anchor)
 	defer s.Unscatter(anchor)
 	defer s.Reset()
 
 	s.Visit(vk, 0, 1)
-	for _, u := range idx.neighbors(vk, forward) {
-		if idx.Ord.Rank(int(u)) > vkRank {
-			s.Visit(int(u), 1, 1)
-			s.Queue = append(s.Queue, u)
-		}
+	from := vk
+	if idx.CoupleSkip && forward {
+		// The hub's only out-neighbour is its couple: start from there, so
+		// the queue holds V_in vertices only.
+		from, _ = idx.skipCouple(s, vk, vk, st)
+		idx.repairLabel(s, vkRank, from, forward, targets, st)
 	}
+	idx.expand(s, from, vkRank, forward)
 
 	for head := 0; head < len(s.Queue); head++ {
 		w := int(s.Queue[head])
 		st.Visited++
 		dw := int(s.Dist[w])
-		var dq int
-		if forward {
-			dq = s.Probe(&idx.In[w], dw)
-		} else {
-			dq = s.Probe(&idx.Out[w], dw)
-		}
-		if dq < dw {
+		if s.Probe(idx.list(w, forward), dw) < dw {
 			continue // vk is not the highest rank on any shortest path
 		}
-		if targets[w] {
-			e := bitpack.Pack(vkRank, int(s.Dist[w]), s.Cnt[w])
-			st.touch(w)
-			if forward {
-				if idx.In[w].Set(e) {
-					idx.entries++
-					st.EntriesAdded++
-					idx.addInvIn(vkRank, w)
-				} else {
-					st.EntriesChanged++
-				}
-			} else {
-				if idx.Out[w].Set(e) {
-					idx.entries++
-					st.EntriesAdded++
-					idx.addInvOut(vkRank, w)
-				} else {
-					st.EntriesChanged++
-				}
+		idx.repairLabel(s, vkRank, w, forward, targets, st)
+		if idx.CoupleSkip {
+			c, ok := idx.skipCouple(s, vk, w, st)
+			if !ok {
+				continue
 			}
+			idx.repairLabel(s, vkRank, c, forward, targets, st)
+			w = c
 		}
-		for _, u := range idx.neighbors(w, forward) {
-			switch {
-			case s.Dist[u] == -1:
-				if idx.Ord.Rank(int(u)) > vkRank {
-					s.Visit(int(u), s.Dist[w]+1, s.Cnt[w])
-					s.Queue = append(s.Queue, u)
-				}
-			case s.Dist[u] == s.Dist[w]+1:
-				s.Cnt[u] = bitpack.SatAdd(s.Cnt[u], s.Cnt[w])
-			}
-		}
+		idx.expand(s, w, vkRank, forward)
+	}
+}
+
+// repairLabel sets hub vkRank's entry at the pass's tentative distance and
+// count in In[w] (forward) or Out[w] (!forward) when w is a repair target.
+func (idx *Index) repairLabel(s *Scratch, vkRank, w int, forward bool, targets []bool, st *UpdateStats) {
+	if !targets[w] {
+		return
+	}
+	st.touch(w)
+	if !idx.list(w, forward).Set(bitpack.Pack(vkRank, int(s.Dist[w]), s.Cnt[w])) {
+		st.EntriesChanged++
+		return
+	}
+	idx.entries++
+	st.EntriesAdded++
+	if forward {
+		idx.addInvIn(vkRank, w)
+	} else {
+		idx.addInvOut(vkRank, w)
 	}
 }

@@ -69,7 +69,9 @@ func (idx *Index) InsertEdge(a, b int) (UpdateStats, error) {
 // updatePass is FORWARD PASS / BACKWARD PASS (Algorithm 6): a resumed BFS
 // from one endpoint of the new edge on behalf of affected hub rank vkRank,
 // seeded at distance d0 with count c0. forward walks out-edges updating
-// in-labels; !forward walks in-edges updating out-labels.
+// in-labels; !forward walks in-edges updating out-labels. With CoupleSkip
+// the start is a V_in vertex (forward) or a V_out vertex (backward), and
+// each kept vertex updates its couple without a probe (skipCouple).
 //
 // Under the redundancy strategy the prune test uses the hub-indexed
 // scatter: the hub's anchor list cannot change mid-pass (the BFS never
@@ -82,11 +84,7 @@ func (idx *Index) updatePass(vkRank, start, d0 int, c0 uint64, forward bool, st 
 
 	var anchor *label.List
 	if idx.Strategy == Redundancy {
-		if forward {
-			anchor = &idx.Out[vk]
-		} else {
-			anchor = &idx.In[vk]
-		}
+		anchor = idx.list(vk, !forward)
 		s.Scatter(anchor)
 		defer s.Unscatter(anchor)
 	}
@@ -98,32 +96,29 @@ func (idx *Index) updatePass(vkRank, start, d0 int, c0 uint64, forward bool, st 
 	for head := 0; head < len(s.Queue); head++ {
 		w := int(s.Queue[head])
 		st.Visited++
+		dw := int(s.Dist[w])
 		var dG int
 		switch {
-		case anchor != nil && forward:
-			dG = s.Probe(&idx.In[w], int(s.Dist[w]))
 		case anchor != nil:
-			dG = s.Probe(&idx.Out[w], int(s.Dist[w]))
+			dG = s.Probe(idx.list(w, forward), dw)
 		case forward:
 			dG = label.JoinDist(&idx.Out[vk], &idx.In[w])
 		default:
 			dG = label.JoinDist(&idx.Out[w], &idx.In[vk])
 		}
-		if int(s.Dist[w]) > dG {
+		if dw > dG {
 			continue // Case 1: the new edge does not improve vk↔w
 		}
-		idx.updateLabel(vkRank, w, int(s.Dist[w]), s.Cnt[w], forward, st)
-		for _, u := range idx.neighbors(w, forward) {
-			switch {
-			case s.Dist[u] == -1:
-				if idx.Ord.Rank(int(u)) > vkRank { // vk ≺ u
-					s.Visit(int(u), s.Dist[w]+1, s.Cnt[w])
-					s.Queue = append(s.Queue, u)
-				}
-			case s.Dist[u] == s.Dist[w]+1:
-				s.Cnt[u] = bitpack.SatAdd(s.Cnt[u], s.Cnt[w]) // Case 2 propagation
+		idx.updateLabel(vkRank, w, dw, s.Cnt[w], forward, st)
+		if idx.CoupleSkip {
+			c, ok := idx.skipCouple(s, vk, w, st)
+			if !ok {
+				continue
 			}
+			idx.updateLabel(vkRank, c, dw+1, s.Cnt[c], forward, st)
+			w = c
 		}
+		idx.expand(s, w, vkRank, forward) // Case 2 propagation
 	}
 }
 
@@ -132,10 +127,7 @@ func (idx *Index) updatePass(vkRank, start, d0 int, c0 uint64, forward bool, st 
 // distance, insert when the hub is new. Under the minimality strategy a
 // replacement or insertion triggers CLEAN LABEL (Algorithm 8).
 func (idx *Index) updateLabel(hubRank, w, dNew int, cNew uint64, inSide bool, st *UpdateStats) {
-	lst := &idx.Out[w]
-	if inSide {
-		lst = &idx.In[w]
-	}
+	lst := idx.list(w, inSide)
 	if e, ok := lst.Lookup(hubRank); ok {
 		switch {
 		case dNew < e.Dist():

@@ -14,6 +14,13 @@
 // three-step decremental repair (§V-C), under either the redundancy or the
 // minimality maintenance strategy (§V-B).
 //
+// On a CSC labeling (Index.CoupleSkip) the update passes run with
+// couple-vertex skipping (§IV-C): a forward pass queues only V_in
+// vertices and a backward pass only V_out vertices, and each kept vertex
+// labels its couple one step further without a prune probe. The labels
+// and UpdateStats are identical to the generic passes', which stay the
+// only path for HP-SPC on G.
+//
 // Construction runs on the fast-path label pipeline: hub-indexed pruning
 // (the prune test probes a rank-indexed scatter of the hub's own label
 // instead of merge-joining two lists), rank-batched parallel hub BFSes
@@ -29,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bipartite"
 	"repro/internal/bitpack"
 	"repro/internal/graph"
 	"repro/internal/label"
@@ -81,8 +89,11 @@ type BuildStats struct {
 
 // UpdateStats summarizes one InsertEdge/DeleteEdge maintenance run.
 type UpdateStats struct {
-	AffectedHubs   int // |hubA ∪ hubB|
-	Visited        int // vertices dequeued across all resumed BFSes
+	AffectedHubs int // |hubA ∪ hubB|
+	// Visited counts the vertices the update passes reached and tested:
+	// every dequeue, plus under couple skipping every couple stamped in
+	// place of its dequeue, so it equals the generic passes' count.
+	Visited        int
 	EntriesAdded   int // label entries newly inserted
 	EntriesChanged int // label entries replaced or count-accumulated
 	EntriesRemoved int // label entries deleted (step 2 + cleaning)
@@ -127,6 +138,14 @@ type Index struct {
 	// entries no query and no cover needs. Not serialized — the owner
 	// re-installs it after ReadIndex (see internal/csc.Read).
 	HubFilter func(v int) bool
+
+	// CoupleSkip declares the graph a bipartite conversion Gb (vertex ids
+	// and couple-consecutive ranks as internal/bipartite lays them out,
+	// HubFilter = bipartite.IsIn) and runs the dynamic update passes with
+	// couple-vertex skipping (see skipCouple). Not serialized — like
+	// HubFilter, internal/csc installs it on every engine it builds or
+	// loads.
+	CoupleSkip bool
 
 	// Inverted indexes for minimality cleaning (§V-A): invIn[h] lists the
 	// vertices whose in-label contains hub rank h; invOut[h] likewise for
@@ -280,10 +299,7 @@ func (idx *Index) Stats() BuildStats {
 // append), so staging is observationally identical to writing through.
 func (idx *Index) specPass(v, r int, forward bool, s *Scratch, st *Stage) {
 	st.Reset(forward, true)
-	anchor := &idx.Out[v]
-	if !forward {
-		anchor = &idx.In[v]
-	}
+	anchor := idx.list(v, !forward)
 	s.Scatter(anchor)
 	defer s.Unscatter(anchor)
 	defer s.Reset()
@@ -293,41 +309,61 @@ func (idx *Index) specPass(v, r int, forward bool, s *Scratch, st *Stage) {
 	st.Add(v, false, bitpack.Pack(r, 0, 1))
 	st.Canonical(true)
 	s.Visit(v, 0, 1)
-	for _, u := range idx.neighbors(v, forward) {
-		if idx.Ord.Rank(int(u)) > r { // v ≺ u: only lower-ranked vertices join
-			s.Visit(int(u), 1, 1)
-			s.Queue = append(s.Queue, u)
-		}
-	}
+	idx.expand(s, v, r, forward)
 
 	for head := 0; head < len(s.Queue); head++ {
 		w := int(s.Queue[head])
 		dw := int(s.Dist[w])
 		// Distance from v to w (or w to v in reverse) via higher hubs.
-		var dq int
-		if forward {
-			dq = s.Probe(&idx.In[w], dw)
-		} else {
-			dq = s.Probe(&idx.Out[w], dw)
-		}
+		dq := s.Probe(idx.list(w, forward), dw)
 		if dq < dw {
 			continue // v is not the highest rank on any shortest path
 		}
 		st.Add(w, true, bitpack.Pack(r, dw, s.Cnt[w]))
 		// dq == dw: some shortest paths run via higher hubs (non-canonical).
 		st.Canonical(dq != dw)
-		for _, u := range idx.neighbors(w, forward) {
-			switch {
-			case s.Dist[u] == -1:
-				if idx.Ord.Rank(int(u)) > r {
-					s.Visit(int(u), s.Dist[w]+1, s.Cnt[w])
-					s.Queue = append(s.Queue, u)
-				}
-			case s.Dist[u] == s.Dist[w]+1:
-				s.Cnt[u] = bitpack.SatAdd(s.Cnt[u], s.Cnt[w])
+		idx.expand(s, w, r, forward)
+	}
+}
+
+// expand relaxes the edges of w in the pass direction: an unvisited
+// neighbour ranked below the hub (rank hubRank) joins the queue one step
+// beyond w, and a neighbour already one step beyond accumulates w's
+// count.
+func (idx *Index) expand(s *Scratch, w, hubRank int, forward bool) {
+	dn, cw := s.Dist[w]+1, s.Cnt[w]
+	for _, u := range idx.neighbors(w, forward) {
+		switch {
+		case s.Dist[u] == -1:
+			if idx.Ord.Rank(int(u)) > hubRank { // hub ≺ u: only lower ranks join
+				s.Visit(int(u), dn, cw)
+				s.Queue = append(s.Queue, u)
 			}
+		case s.Dist[u] == dn:
+			s.Cnt[u] = bitpack.SatAdd(s.Cnt[u], cw)
 		}
 	}
+}
+
+// skipCouple is couple-vertex skipping (§IV-C) in an update pass over Gb:
+// once a forward pass keeps w ∈ V_in, or a backward pass keeps w ∈ V_out,
+// it stamps w's couple one step further with w's count and returns it for
+// labeling and expansion. The couple is w's only out-neighbour (forward)
+// or in-neighbour (backward), ranked right next to it, and its label is
+// w's shifted by one, so its prune probe would equal w's plus one: the
+// generic pass would reach and keep it the same way. It counts as visited
+// so UpdateStats.Visited matches the generic pass. ok is false when the
+// couple is the hub vk itself — a backward pass at the hub's own couple
+// (distinction 4) — since no shortest path to the hub continues through
+// the hub.
+func (idx *Index) skipCouple(s *Scratch, vk, w int, st *UpdateStats) (c int, ok bool) {
+	c = bipartite.Couple(w)
+	if c == vk {
+		return 0, false
+	}
+	s.Visit(c, s.Dist[w]+1, s.Cnt[w])
+	st.Visited++
+	return c, true
 }
 
 // AppendIn appends an entry to In[v], maintaining the entry counter and
@@ -388,12 +424,7 @@ func (idx *Index) validateCommit(anchor *label.List, st *Stage, s *Scratch) bool
 			continue
 		}
 		d := op.e.Dist()
-		var dq int
-		if st.inSide {
-			dq = s.Probe(&idx.In[op.v], d)
-		} else {
-			dq = s.Probe(&idx.Out[op.v], d)
-		}
+		dq := s.Probe(idx.list(int(op.v), st.inSide), d)
 		if dq < d {
 			return false // merged labels prune this entry: stage is stale
 		}
@@ -409,6 +440,14 @@ func (idx *Index) validateCommit(anchor *label.List, st *Stage, s *Scratch) bool
 	idx.canonical += canonical
 	idx.nonCanonical += nonCanonical
 	return true
+}
+
+// list returns In[v] when in is set, else Out[v].
+func (idx *Index) list(v int, in bool) *label.List {
+	if in {
+		return &idx.In[v]
+	}
+	return &idx.Out[v]
 }
 
 func (idx *Index) neighbors(w int, forward bool) []int32 {
